@@ -102,9 +102,10 @@ bool OlcTree::Insert(KeyView key, art::Value value, std::size_t tid,
 // release), and clang's analysis does not model conditionally-held
 // capabilities — every join point after an `if (parent)` would warn.  The
 // acquisition itself is also conditional through the `need_restart`
-// out-parameter, outside the analysis' try-lock model.  The lock discipline
-// of this function is checked dynamically by the TSan CI job
-// (parallel_runtime_test + olc_tree_test run under -fsanitize=thread).
+// out-parameter, outside the analysis' try-lock model.  TSan checks the
+// memory accesses (olc_tree_test runs under -fsanitize=thread), but a
+// skipped revalidation races on no memory location and is invisible to it;
+// the OlcTreeStress and OlcTreeRace tests in olc_tree_test guard that.
 OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
                                          std::size_t tid, SyncStats& stats,
                                          OpTracer* tracer,
@@ -164,6 +165,15 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
   std::uint8_t parent_key = 0;
   std::uint64_t v = node->lock.ReadLockOrRestart(rs, stats);
   if (rs) return WriteOutcome::kRestart;
+  // The root is replaced by grows, path splits and merges, so the node
+  // latched above may already have moved below a new root.  Every such move
+  // write-locks the old root, so once root_ is seen to still hold it, the
+  // version checks on `node` cover the rest of the operation.
+  if (root_.load(std::memory_order_acquire) != root_raw) {
+    ++stats.restarts;
+    ++stats.lock_contentions;
+    return WriteOutcome::kRestart;
+  }
   std::uint64_t pv = 0;
   std::size_t depth = 0;
 
@@ -289,11 +299,6 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
       return WriteOutcome::kInserted;
     }
 
-    if (parent) {
-      parent->lock.ReadUnlockOrRestart(pv, rs, stats);
-      if (rs) return WriteOutcome::kRestart;
-    }
-
     if (next.IsLeaf()) {
       CLeaf* leaf = next.AsLeaf();
       if (tracer) tracer->VisitLeaf(leaf);
@@ -349,6 +354,11 @@ OlcTree::WriteOutcome OlcTree::TryInsert(KeyView key, art::Value value,
     ++depth;
     v = node->lock.ReadLockOrRestart(rs, stats);
     if (rs) return WriteOutcome::kRestart;
+    // Hand-over-hand validation: `node` was still the parent's child when
+    // its version was latched.  Any later move of `node` (split, grow,
+    // merge) write-locks it, which the checks against `v` catch.
+    parent->lock.CheckOrRestart(pv, rs, stats);
+    if (rs) return WriteOutcome::kRestart;
   }
 }
 
@@ -365,7 +375,7 @@ bool OlcTree::Remove(KeyView key, std::size_t tid, SyncStats& stats) {
 // NO_THREAD_SAFETY_ANALYSIS justification: same conditionally-held
 // parent/sibling lock chains as TryInsert (see the comment there); the
 // three-node unlock ladders on the merge path are beyond the analysis'
-// conditional-capability model.  Checked dynamically by the TSan CI job.
+// conditional-capability model.  Guarded as TryInsert's is.
 OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
                                           SyncStats& stats)
     NO_THREAD_SAFETY_ANALYSIS {
@@ -394,6 +404,13 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
   std::uint8_t parent_key = 0;
   std::uint64_t v = node->lock.ReadLockOrRestart(rs, stats);
   if (rs) return RemoveOutcome::kRestart;
+  // Same root revalidation as TryInsert: a merge at the root must not
+  // overwrite root_ from a node that has already moved below a new root.
+  if (root_.load(std::memory_order_acquire) != root_raw) {
+    ++stats.restarts;
+    ++stats.lock_contentions;
+    return RemoveOutcome::kRestart;
+  }
   std::uint64_t pv = 0;
   std::size_t depth = 0;
 
@@ -505,16 +522,14 @@ OlcTree::RemoveOutcome OlcTree::TryRemove(KeyView key, std::size_t tid,
       return RemoveOutcome::kRemoved;
     }
 
-    if (parent) {
-      parent->lock.ReadUnlockOrRestart(pv, rs, stats);
-      if (rs) return RemoveOutcome::kRestart;
-    }
     parent = node;
     pv = v;
     parent_key = node_key;
     node = next.AsNode();
     ++depth;
     v = node->lock.ReadLockOrRestart(rs, stats);
+    if (rs) return RemoveOutcome::kRestart;
+    parent->lock.CheckOrRestart(pv, rs, stats);  // hand-over-hand, as above
     if (rs) return RemoveOutcome::kRestart;
   }
 }
@@ -533,7 +548,8 @@ std::optional<art::Value> OlcTree::Lookup(KeyView key, std::size_t tid,
 std::optional<art::Value> OlcTree::TryLookup(KeyView key, SyncStats& stats,
                                              OpTracer* tracer,
                                              bool& need_restart) const {
-  CRef ref = CRef::FromRaw(root_.load(std::memory_order_acquire));
+  const std::uintptr_t root_raw = root_.load(std::memory_order_acquire);
+  CRef ref = CRef::FromRaw(root_raw);
   const CNode* parent = nullptr;
   std::uint64_t pv = 0;
   std::size_t depth = 0;
@@ -567,6 +583,13 @@ std::optional<art::Value> OlcTree::TryLookup(KeyView key, SyncStats& stats,
       // reading the child pointer and latching the child's version.
       parent->lock.CheckOrRestart(pv, need_restart, stats);
       if (need_restart) return std::nullopt;
+    } else if (root_.load(std::memory_order_acquire) != root_raw) {
+      // The root moved below a new root before it was latched (see
+      // TryInsert); walking it at depth 0 could report a false miss.
+      ++stats.restarts;
+      ++stats.lock_contentions;
+      need_restart = true;
+      return std::nullopt;
     }
 
     // Optimistic path compression: compare the stored prefix bytes only;

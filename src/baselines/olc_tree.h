@@ -8,18 +8,25 @@
 //
 // Readers are lock-free: they snapshot node versions during the descent and
 // restart when a concurrent writer invalidates one.  Writers lock only the
-// node(s) they modify; structural replacement (grow, path split) also locks
-// the parent, marks the old node obsolete and defers its reclamation to the
-// epoch manager.
+// node(s) they modify; a structural change also locks the parent whose slot
+// it re-points.  A grow replaces the node with a larger copy, a merge on
+// delete with its remaining sibling; either marks the old node obsolete and
+// defers its reclamation to the epoch manager.  A path split keeps the
+// node: it moves one level down under a new branch, with a shorter prefix.
+//
+// Unlike Leis et al.'s fixed root, root_ itself is replaced by grows,
+// splits and merges.  So every descent, after latching a node's version,
+// checks again that the node is still where it was reached from: root_
+// must still hold the first node, and the parent's version must be
+// unchanged for every later one.  Each move of a node write-locks it, so
+// from then on the checks against the node's own version cover the rest.
 //
 // The tree also exposes single-threaded *traced* walks used by the
 // deterministic platform models (see DESIGN.md): those replay node touches
 // through the cache/conflict models without any synchronization.
 //
-// Supported operations are read and insert-or-update write — exactly the
-// operation mix of the paper's evaluation.  (Deletes are supported by the
-// single-threaded core tree in src/art; the paper's concurrent workloads
-// never delete.)
+// Supported operations are lookup, insert-or-update and delete, all safe to
+// run concurrently.  The paper's evaluation mixes reads and upserts only.
 #pragma once
 
 #include <atomic>

@@ -4,9 +4,10 @@
 // Layout mirrors art/node.h with two additions: every node carries a
 // VersionLock, and all fields that optimistic readers may load concurrently
 // are accessed through relaxed atomics (see atomic_util.h).  Writers mutate
-// nodes only while holding the write lock; structural replacement (grow,
-// path split) installs a fresh node and marks the old one obsolete, whose
-// memory is reclaimed through the EpochManager.
+// nodes only while holding the write lock; a grow (larger copy) or a merge
+// (remaining sibling) replaces a node and marks the old one obsolete, whose
+// memory is reclaimed through the EpochManager.  A path split keeps the node
+// (not obsolete) and moves it one level down with a shorter prefix.
 #pragma once
 
 #include <array>

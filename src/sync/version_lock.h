@@ -49,7 +49,9 @@ class CAPABILITY("VersionLock") VersionLock {
   static constexpr std::uint64_t kObsoleteBit = 0b01;
 
   /// Spin until unlocked, then return the version word.  Sets `need_restart`
-  /// if the node became obsolete (replaced by a grow/split).
+  /// if the node became obsolete (replaced by a grow or merge).  A node that
+  /// a path split moved down is not obsolete: callers must check that it is
+  /// still reachable where they found it (parent version, root pointer).
   std::uint64_t ReadLockOrRestart(bool& need_restart, SyncStats& stats) const {
     std::uint64_t version = AwaitUnlocked(stats);
     if ((version & kObsoleteBit) != 0) {

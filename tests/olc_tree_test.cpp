@@ -1,9 +1,12 @@
 // Tests for the concurrent OLC ART: single-threaded model checking against
 // std::map, multi-threaded stress with real threads (insert/lookup mixes,
-// key ranges that force node growth and path splits), and the traced walks.
+// key ranges that force node growth and path splits), targeted two-thread
+// races on the lock-coupling revalidation, and the traced walks.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -393,6 +396,130 @@ TEST(OlcTreeStress, StringKeysConcurrentGrowth) {
           std::nullopt ||
       true);  // no crash / no lost structure is the assertion here
   EXPECT_GT(tree.size(), 0u);
+}
+
+// ------------------------------------------------- targeted split races ----
+//
+// A path split moves the split node one level down and shortens its prefix
+// without marking it obsolete, so a descent that latched the node's version
+// only after the split would walk it at the wrong depth.  The stress tests
+// above reach that window rarely; these tests aim two threads at it, one
+// fresh tree per round.
+
+// Runs `rounds` rounds.  Each round `setup(round)` runs alone, then `a` and
+// `b` start together on two worker threads (spin barrier: small start
+// skew), then `check(round)` runs alone once both have returned.
+template <typename Setup, typename BodyA, typename BodyB, typename Check>
+void RaceRounds(int rounds, Setup setup, BodyA a, BodyB b, Check check) {
+  std::atomic<int> go{-1};
+  std::atomic<int> done{0};
+  const auto worker = [&](auto& body) {
+    for (int r = 0; r < rounds; ++r) {
+      while (go.load() != r) std::this_thread::yield();
+      body();
+      done.fetch_add(1);
+    }
+  };
+  std::thread ta([&] { worker(a); });
+  std::thread tb([&] { worker(b); });
+  for (int r = 0; r < rounds; ++r) {
+    setup(r);
+    done.store(0);
+    go.store(r);
+    while (done.load() != 2) std::this_thread::yield();
+    check(r);
+  }
+  ta.join();
+  tb.join();
+}
+
+// Two keys under root byte 0xAB form a node with the 6-byte prefix 01*6.
+constexpr std::uint64_t kPrefixKeyA = 0xAB01010101010107ull;
+constexpr std::uint64_t kPrefixKeyB = 0xAB01010101010108ull;
+// Diverges inside that prefix (byte 3), splitting the node.  The split
+// leaves the node with the prefix 01*3, which a descent still at the old
+// depth would also match.
+constexpr std::uint64_t kSplitterKey = 0xAB0101FF00000000ull;
+
+TEST(OlcTreeRace, BelowRootSplitDoesNotLoseConcurrentInsert) {
+  // The inserter keeps adding children to the prefixed node until the
+  // splitter has split it, so an insert is in flight when the split lands.
+  // A root with many first bytes is never split or grown by these keys, so
+  // only the node below it moves.
+  constexpr std::uint64_t kInserterBase = 0xAB01010101010109ull;
+  constexpr std::uint64_t kMaxInserts = 0xFF - 0x09 + 1;  // last byte only
+  std::unique_ptr<OlcTree> tree;
+  std::atomic<bool> split_done{false};
+  std::uint64_t inserted = 0;
+  int lost_rounds = 0;
+  RaceRounds(
+      3000,
+      [&](int) {
+        tree = std::make_unique<OlcTree>(3);
+        SyncStats stats;
+        for (std::uint64_t b = 0; b < 16; ++b) {
+          tree->Insert(EncodeU64(b << 56), b, 0, stats);
+        }
+        tree->Insert(EncodeU64(kPrefixKeyA), 1, 0, stats);
+        tree->Insert(EncodeU64(kPrefixKeyB), 2, 0, stats);
+        split_done.store(false);
+        inserted = 0;
+      },
+      [&] {
+        SyncStats stats;
+        do {
+          tree->Insert(EncodeU64(kInserterBase + inserted), inserted, 1, stats);
+          ++inserted;
+        } while (!split_done.load() && inserted < kMaxInserts);
+      },
+      [&] {
+        SyncStats stats;
+        tree->Insert(EncodeU64(kSplitterKey), 4, 2, stats);
+        split_done.store(true);
+      },
+      [&](int) {
+        SyncStats stats;
+        bool found = tree->Lookup(EncodeU64(kSplitterKey), 0, stats) ==
+                     std::optional<art::Value>(4);
+        for (std::uint64_t i = 0; i < inserted; ++i) {
+          found = found && tree->Lookup(EncodeU64(kInserterBase + i), 0,
+                                        stats) == std::optional(i);
+        }
+        if (!found) ++lost_rounds;
+      });
+  EXPECT_EQ(lost_rounds, 0) << "rounds that lost a key out of 3000";
+}
+
+TEST(OlcTreeRace, LookupRacingRootSplitSeesPresentKey) {
+  // The root itself carries the prefix AB 01*6; the splitter moves it one
+  // level down while the reader looks up a key that is present throughout.
+  std::unique_ptr<OlcTree> tree;
+  std::atomic<bool> split_done{false};
+  int false_misses = 0;
+  RaceRounds(
+      200,
+      [&](int) {
+        tree = std::make_unique<OlcTree>(3);
+        SyncStats stats;
+        tree->Insert(EncodeU64(kPrefixKeyA), 1, 0, stats);
+        tree->Insert(EncodeU64(kPrefixKeyB), 2, 0, stats);
+        split_done.store(false);
+      },
+      [&] {
+        SyncStats stats;
+        do {
+          if (!tree->Lookup(EncodeU64(kPrefixKeyA), 1, stats).has_value()) {
+            ++false_misses;
+          }
+        } while (!split_done.load());
+      },
+      [&] {
+        SyncStats stats;
+        tree->Insert(EncodeU64(kSplitterKey), 4, 2, stats);
+        split_done.store(true);
+      },
+      [&](int) {});
+  EXPECT_EQ(false_misses, 0) << "lookups of a present key that missed";
 }
 
 }  // namespace
